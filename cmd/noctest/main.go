@@ -378,7 +378,7 @@ func (c config) schedule(ctx context.Context, sys *soc.System, opts core.Options
 	case "csv":
 		return p.WriteCSV(os.Stdout)
 	case "json":
-		return p.WriteJSON(os.Stdout)
+		return printJSON(p)
 	case "table":
 		fmt.Println(sys)
 		fmt.Print(p.Summary())
@@ -483,7 +483,7 @@ func runServe(ctx context.Context, c config) error {
 	case "csv":
 		return p.WriteCSV(os.Stdout)
 	case "json":
-		return p.WriteJSON(os.Stdout)
+		return printJSON(p)
 	case "table":
 		fmt.Print(p.Summary())
 		fmt.Print(p.Gantt(c.width))
@@ -638,4 +638,18 @@ func loadBench(name string) (*itc02.SoC, error) {
 	}
 	defer f.Close()
 	return itc02.Parse(f)
+}
+
+// printJSON prints the plan's JSON indented for reading; WriteJSON
+// itself writes the compact wire form.
+func printJSON(p *plan.Plan) error {
+	var compact, out bytes.Buffer
+	if err := p.WriteJSON(&compact); err != nil {
+		return err
+	}
+	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
+		return err
+	}
+	_, err := out.WriteTo(os.Stdout)
+	return err
 }

@@ -340,6 +340,38 @@ func TestScheduleInjectedStrategyPanic(t *testing.T) {
 	}
 }
 
+// TestScheduleInjectedUnbuildableWinner pins the score-first fallback
+// end to end: a sched.unbuildable drill adds a member whose unbeatable
+// scored order does not build, the race falls back to the next best
+// member, the request still answers 200 with the clean race's plan,
+// and the failure is counted in /stats.
+func TestScheduleInjectedUnbuildableWinner(t *testing.T) {
+	inj, err := fault.Parse("seed=3;sched.unbuildable=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "procs=6&cpu=leon&power=0.5&bist=3&search=quick"
+	body := benchBody(t, "d695")
+	clean := decodeSchedule(t, post(newServer(serverConfig{}), q, body))
+	s := newServer(serverConfig{faults: inj})
+	resp := decodeSchedule(t, post(s, q, body))
+	if resp.Best != clean.Best || resp.Makespan != clean.Makespan || !bytes.Equal(resp.Plan, clean.Plan) {
+		t.Errorf("fallback answer %s/%d differs from the clean race's %s/%d", resp.Best, resp.Makespan, clean.Best, clean.Makespan)
+	}
+	sawFailure := false
+	for _, sj := range resp.Strategies {
+		if sj.Name == "fault.unbuildable" && strings.Contains(sj.Err, "does not build") {
+			sawFailure = true
+		}
+	}
+	if !sawFailure {
+		t.Errorf("unbuildable member's failure not reported: %+v", resp.Strategies)
+	}
+	if st := s.stats(); st.Robustness.BuildFailures != 1 {
+		t.Errorf("build_failures = %d, want 1", st.Robustness.BuildFailures)
+	}
+}
+
 // TestCachePanickingCompile pins the singleflight repair: a compile
 // that panics must propagate to its caller (the HTTP guard's job), but
 // waiters sharing the flight get an error instead of hanging, and the

@@ -118,10 +118,12 @@ type server struct {
 	drained     atomic.Uint64 // requests refused while draining
 
 	// Robustness telemetry: HTTP handlers recovered to a 500 (each gets
-	// an incident ID), and portfolio strategies that panicked but were
-	// isolated by the engine.
+	// an incident ID), portfolio strategies that panicked but were
+	// isolated by the engine, and winning scored orders whose plan failed
+	// to build or validate (the race fell back to the next best member).
 	incidents      atomic.Uint64
 	strategyPanics atomic.Uint64
+	buildFailures  atomic.Uint64
 
 	// Memoization telemetry (persistent result store, when configured).
 	memoHits, memoMisses, memoStores, memoErrs atomic.Uint64
@@ -426,6 +428,23 @@ func (panicStrategy) Schedule(context.Context, *core.Model) (*plan.Plan, error) 
 	panic("injected strategy panic (sched.panic)")
 }
 
+// unbuildableStrategy is the fault injector's sched.unbuildable
+// payload: a member that scores an order no plan can be built from
+// (it names no cores) with an unbeatable makespan, so it always wins
+// the race and exercises the portfolio's fallback to the next best
+// member end to end.
+type unbuildableStrategy struct{}
+
+func (unbuildableStrategy) Name() string { return "fault.unbuildable" }
+
+func (unbuildableStrategy) Schedule(context.Context, *core.Model) (*plan.Plan, error) {
+	return nil, fault.Errorf("unbuildable strategy scheduled directly")
+}
+
+func (unbuildableStrategy) Score(context.Context, *core.Model, *core.Incumbent) (core.Scored, error) {
+	return core.Scored{Makespan: 1}, nil
+}
+
 // isScenario reports whether an upload is a socgen scenario file (its
 // "# scenario" header line) rather than a plain itc02 description.
 func isScenario(body []byte) bool {
@@ -591,10 +610,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 				if err := json.Unmarshal(raw, &rec); err == nil {
 					s.memoHits.Add(1)
 					s.okCount.Add(1)
-					w.Header().Set("Content-Type", "application/json")
-					enc := json.NewEncoder(w)
-					enc.SetIndent("", "  ")
-					enc.Encode(&scheduleResponse{
+					writeJSON(w, &scheduleResponse{
 						System:   rec.System,
 						Makespan: rec.Makespan,
 						Best:     rec.Best,
@@ -707,10 +723,15 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// may share one cached model freely; the Progress hook forwards the
 	// run's anytime improvements onto the stream as they land. A
 	// sched.panic drill appends a panicking member: the engine isolates
-	// it and the race degrades to the survivors.
+	// it and the race degrades to the survivors. A sched.unbuildable
+	// drill appends a member whose winning order does not build: the
+	// engine falls back to the next best member.
 	scheds := p.schedulers()
 	if s.cfg.faults.Should(fault.SchedPanic) {
 		scheds = append(scheds, panicStrategy{})
+	}
+	if s.cfg.faults.Should(fault.SchedUnbuildable) {
+		scheds = append(scheds, unbuildableStrategy{})
 	}
 	pf := core.Portfolio{Schedulers: scheds, Workers: s.cfg.requestWorkers}
 	if stream != nil {
@@ -738,6 +759,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if n := res.Panics(); n > 0 {
 			s.strategyPanics.Add(uint64(n))
 		}
+		s.buildFailures.Add(uint64(res.BuildFailures))
 	}
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -816,14 +838,27 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		flush()
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&resp)
+	writeJSON(w, &resp)
 }
 
-// statsResponse is the /stats document; the load benchmark diffs it
-// around each phase.
+// writeJSON answers with v as one compact JSON document. The body is
+// encoded once, into memory, so Content-Length is set and it goes out
+// in a single write. A write error means the client left; there is no
+// one to tell.
+func writeJSON(w http.ResponseWriter, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Write(body.Bytes())
+}
+
+// statsResponse is the /stats document; perfbench diffs it around each
+// phase.
 type statsResponse struct {
 	Cache struct {
 		Entries   int    `json:"entries"`
@@ -870,6 +905,10 @@ type statsResponse struct {
 		// isolated while their race degraded to the survivors.
 		Incidents      uint64 `json:"incidents"`
 		StrategyPanics uint64 `json:"strategy_panics"`
+		// BuildFailures counts winning scored orders whose plan failed
+		// to build or validate; each race fell back to its next best
+		// member. Nonzero means an engine bug, not a bad upload.
+		BuildFailures uint64 `json:"build_failures"`
 	} `json:"robustness"`
 	Faults struct {
 		// Spec is the active injection spec ("off" in production);
@@ -931,6 +970,7 @@ func (s *server) stats() statsResponse {
 	st.Robustness.DrainRejected = s.drained.Load()
 	st.Robustness.Incidents = s.incidents.Load()
 	st.Robustness.StrategyPanics = s.strategyPanics.Load()
+	st.Robustness.BuildFailures = s.buildFailures.Load()
 	st.Faults.Spec = s.cfg.faults.String()
 	st.Faults.Points = s.cfg.faults.Counts()
 	search, models := s.cache.SearchStats()

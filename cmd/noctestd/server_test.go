@@ -3,14 +3,22 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"noctest/internal/core"
 	"noctest/internal/itc02"
 	"noctest/internal/plan"
+	"noctest/internal/resultstore"
 	"noctest/internal/socgen"
 )
 
@@ -262,6 +270,96 @@ func TestScheduleStream(t *testing.T) {
 	}
 	if result.Makespan != last {
 		t.Errorf("result makespan %d != last streamed improvement %d", result.Makespan, last)
+	}
+
+	// The list rules score before the race, in portfolio order, so the
+	// stream carries exactly one improvement per list rule that beats
+	// every rule before it: replay the same race in the library and
+	// compare event for event.
+	q, err := url.ParseQuery("procs=6&cpu=leon&power=0.5&bist=3&search=quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := parseScheduleParams(q, s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := buildModel([]byte(benchBody(t, "d695")), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Portfolio{Schedulers: params.schedulers(), Workers: 1}.ScheduleModel(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	best := -1
+	for _, r := range ref.Results {
+		if best < 0 || r.Makespan < best {
+			best = r.Makespan
+			want = append(want, fmt.Sprintf("%s=%d", r.Scheduler, r.Makespan))
+		}
+	}
+	var got []string
+	for _, ev := range events[1:] {
+		got = append(got, fmt.Sprintf("%s=%d", ev.Scheduler, ev.Makespan))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("improvement events %v, want one per improving list rule %v", got, want)
+	}
+}
+
+// TestScheduleResponseEncodedOnce pins the response's wire form: a
+// /schedule answer and its memo replay are each one compact JSON
+// document with Content-Length set; the quick race reports its seven
+// list rules with makespans, and the plan parses and validates.
+func TestScheduleResponseEncodedOnce(t *testing.T) {
+	store := openStore(t, filepath.Join(t.TempDir(), "j"), resultstore.Options{})
+	s := newServer(serverConfig{store: store})
+	body := benchBody(t, "d695")
+	q := "procs=6&cpu=leon&power=0.5&bist=3&search=quick"
+	for _, wantCache := range []string{"miss", "memo"} {
+		w := post(s, q, body)
+		resp := decodeSchedule(t, w)
+		if resp.Cache != wantCache {
+			t.Fatalf("cache %q, want %q", resp.Cache, wantCache)
+		}
+		raw := w.Body.Bytes()
+		if got := w.Header().Get("Content-Length"); got != strconv.Itoa(len(raw)) {
+			t.Errorf("%s: Content-Length %q, body is %d bytes", wantCache, got, len(raw))
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", wantCache, ct)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(compact.Bytes(), raw) {
+			t.Errorf("%s: body is not compact JSON: %d bytes, %d compacted", wantCache, len(raw), compact.Len())
+		}
+		p, err := plan.ParseJSON(bytes.NewReader(resp.Plan))
+		if err != nil {
+			t.Fatalf("%s: plan does not parse: %v", wantCache, err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: plan does not validate: %v", wantCache, err)
+		}
+		if p.Makespan() != resp.Makespan {
+			t.Errorf("%s: response makespan %d, its plan's %d", wantCache, resp.Makespan, p.Makespan())
+		}
+		if wantCache != "miss" {
+			continue // a memo replay carries the answer, not the race
+		}
+		if len(resp.Strategies) != 7 {
+			t.Fatalf("quick search reported %d strategies, want 7", len(resp.Strategies))
+		}
+		for _, st := range resp.Strategies {
+			if st.Makespan <= 0 || st.Err != "" {
+				t.Errorf("strategy %s: makespan %d err %q, want a makespan and no error", st.Name, st.Makespan, st.Err)
+			}
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nJSON export (first lines):")
+	fmt.Println("\nJSON export (compact, one line):")
 	if err := p.WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

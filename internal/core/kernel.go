@@ -92,11 +92,6 @@ type Evaluator struct {
 	resGen []int
 	resCtr int
 
-	// batchIdx/batchDiv order a batch of moves by divergence without
-	// allocating.
-	batchIdx []int
-	batchDiv []int
-
 	// seen/seenGen validate each order as a permutation in O(n) without
 	// clearing between calls.
 	seen    []int
@@ -229,8 +224,7 @@ func (e *Evaluator) rewind(k int) int {
 }
 
 // divergence returns the first position where order differs from the
-// committed prefix of the reference order. It tolerates wrong-length
-// orders (EvaluateBatch sorts by divergence before validation runs).
+// committed prefix of the reference order.
 func (e *Evaluator) divergence(order []int) int {
 	k := 0
 	lim := e.valid
@@ -875,60 +869,4 @@ func (e *Evaluator) restoreRef(k, hi int) {
 func (e *Evaluator) commitPrefix(order []int, n int) {
 	e.ref = append(e.ref[:0], order...)
 	e.valid = n
-}
-
-// EvaluateBatch scores a stream of moves in one call, filling results
-// with exactly what Evaluate would have returned for each (orders[i],
-// bounds[i]) pair — results are state-independent, so the batch's
-// outcome does not depend on evaluation order. Internally the moves are
-// evaluated sorted by descending divergence from the committed
-// reference: each evaluation then replays only from its own divergence
-// instead of from the deepest point an earlier sibling disturbed, which
-// is what amortizes checkpoint reuse across a whole neighbourhood. A
-// nil bounds applies no bound; mismatched lengths error. The slices are
-// the caller's scratch: nothing is retained.
-func (e *Evaluator) EvaluateBatch(ctx context.Context, orders [][]int, bounds []int, results []EvalResult) error {
-	if len(results) != len(orders) {
-		return fmt.Errorf("core: batch results cover %d of %d orders", len(results), len(orders))
-	}
-	if bounds != nil && len(bounds) != len(orders) {
-		return fmt.Errorf("core: batch bounds cover %d of %d orders", len(bounds), len(orders))
-	}
-	e.batchIdx = e.batchIdx[:0]
-	e.batchDiv = e.batchDiv[:0]
-	for i := range orders {
-		d := e.divergence(orders[i])
-		at := len(e.batchIdx)
-		e.batchIdx = append(e.batchIdx, 0)
-		e.batchDiv = append(e.batchDiv, 0)
-		for at > 0 && e.batchDiv[at-1] < d {
-			e.batchIdx[at] = e.batchIdx[at-1]
-			e.batchDiv[at] = e.batchDiv[at-1]
-			at--
-		}
-		e.batchIdx[at], e.batchDiv[at] = i, d
-	}
-	for _, i := range e.batchIdx {
-		bound := 0
-		if bounds != nil {
-			bound = bounds[i]
-		}
-		ms, pruned, err := e.Evaluate(ctx, orders[i], bound)
-		results[i] = EvalResult{Makespan: ms, Pruned: pruned, Err: err}
-		if err != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
-// EvalResult is one order's outcome within an EvaluateBatch call.
-type EvalResult struct {
-	// Makespan is the order's (possibly partial, when Pruned) makespan.
-	Makespan int
-	// Pruned reports that the evaluation aborted at the bound.
-	Pruned bool
-	// Err is the evaluation's failure (e.g. an infeasible order), nil
-	// on success.
-	Err error
 }

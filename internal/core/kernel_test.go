@@ -313,116 +313,6 @@ func TestEvaluatorDeltaAllocsZero(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchMatchesEvaluate checks the batch API's contract:
-// every result equals what a stateless full replay of that (order,
-// bound) pair produces, regardless of the internal divergence-sorted
-// evaluation order, and invalid members fail without poisoning their
-// siblings.
-func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
-	r := rand.New(rand.NewSource(777))
-	sys := buildSystem(t, "d695", 6, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ev := m.NewEvaluator(LookaheadFastestFinish)
-	defer ev.Close()
-	base := append([]int(nil), m.DefaultOrder()...)
-	n := len(base)
-	baseMs, _, err := ev.Evaluate(ctx, base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var orders [][]int
-	var bounds []int
-	for k := 0; k < 12; k++ {
-		o := append([]int(nil), base...)
-		i, j := r.Intn(n), r.Intn(n)
-		o[i], o[j] = o[j], o[i]
-		orders = append(orders, o)
-		switch k % 3 {
-		case 1:
-			bounds = append(bounds, baseMs)
-		case 2:
-			bounds = append(bounds, baseMs-1)
-		default:
-			bounds = append(bounds, 0)
-		}
-	}
-	orders = append(orders, base[:n-1]) // invalid: short order
-	bounds = append(bounds, 0)
-	results := make([]EvalResult, len(orders))
-	if err := ev.EvaluateBatch(ctx, orders, bounds, results); err != nil {
-		t.Fatal(err)
-	}
-	for k := range orders[:len(orders)-1] {
-		wantMs, wantPruned, wantErr := m.MakespanBounded(ctx, LookaheadFastestFinish, orders[k], bounds[k])
-		res := results[k]
-		if (res.Err != nil) != (wantErr != nil) {
-			t.Fatalf("move %d: batch err %v, full replay err %v", k, res.Err, wantErr)
-		}
-		if res.Err == nil && (res.Makespan != wantMs || res.Pruned != wantPruned) {
-			t.Fatalf("move %d bound %d: batch (ms %d, pruned %v) vs full (ms %d, pruned %v)",
-				k, bounds[k], res.Makespan, res.Pruned, wantMs, wantPruned)
-		}
-	}
-	if results[len(results)-1].Err == nil {
-		t.Error("invalid batch member did not report an error")
-	}
-	if len(results) != len(orders) {
-		t.Fatalf("results resized: %d != %d", len(results), len(orders))
-	}
-
-	// Mismatched slice lengths are refused up front.
-	if err := ev.EvaluateBatch(ctx, orders, bounds[:1], results); err == nil {
-		t.Error("short bounds accepted")
-	}
-	if err := ev.EvaluateBatch(ctx, orders, nil, results[:1]); err == nil {
-		t.Error("short results accepted")
-	}
-}
-
-// TestEvaluateBatchAllocsZero extends the allocation regression to the
-// batch path: once the divergence-sort scratch is warm, batching window
-// moves allocates nothing.
-func TestEvaluateBatchAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	sys := buildSystem(t, "p22810", 8, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ev := m.NewEvaluator(LookaheadFastestFinish)
-	defer ev.Close()
-	base := append([]int(nil), m.DefaultOrder()...)
-	n := len(base)
-	orders := make([][]int, 4)
-	for k := range orders {
-		o := append([]int(nil), base...)
-		o[n-2-k], o[n-1-k] = o[n-1-k], o[n-2-k]
-		orders[k] = o
-	}
-	results := make([]EvalResult, len(orders))
-	for i := 0; i < 3; i++ {
-		if err := ev.EvaluateBatch(ctx, orders, nil, results); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := ev.EvaluateBatch(ctx, orders, nil, results); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("EvaluateBatch allocates %.1f times per batch, want 0", allocs)
-	}
-}
-
 // TestEvaluatorAdjacentAllocsZero pins the O(1) adjacent-commutation
 // path: pure adjacent swaps against a warm committed reference must
 // answer through the adjacent rule — checked via the DeltaAdjacent

@@ -550,3 +550,118 @@ func TestPortfolioProgressStream(t *testing.T) {
 		t.Errorf("last event makespan %d != final result %d", last.Makespan, res.Makespan())
 	}
 }
+
+// fixedScorer reports one fixed scored order, so tests can hand the
+// portfolio a winner whose plan does not build.
+type fixedScorer struct {
+	name string
+	sc   Scored
+}
+
+func (f fixedScorer) Name() string { return f.name }
+
+func (f fixedScorer) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
+	return scheduleScored(ctx, m, f)
+}
+
+func (f fixedScorer) Score(context.Context, *Model, *Incumbent) (Scored, error) { return f.sc, nil }
+
+// TestScheduleModelFallsBackWhenWinnerDoesNotBuild pins the score-first
+// selection's failure path: a member whose winning order does not build
+// (it repeats a core), or builds to a makespan other than its score, is
+// marked failed and counted, and the next best member's plan is built
+// and returned instead.
+func TestScheduleModelFallsBackWhenWinnerDoesNotBuild(t *testing.T) {
+	sys := buildSystem(t, "d695", 6, soc.Leon())
+	m, err := Compile(sys, Options{PowerLimitFraction: 0.5, BISTPatternFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	list := ListScheduler{LookaheadFastestFinish, ProcessorsFirst}
+	want, err := list.Schedule(ctx, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := m.Order(ProcessorsFirst)
+	repeats := append([]int(nil), order...)
+	repeats[1] = repeats[0]
+	for _, tc := range []struct {
+		name string
+		sc   Scored
+	}{
+		{"order-does-not-build", Scored{Variant: GreedyFirstAvailable, Order: repeats, Makespan: 1}},
+		{"plan-misses-its-score", Scored{Variant: GreedyFirstAvailable, Order: order, Makespan: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := fixedScorer{name: "bad", sc: tc.sc}
+			res, err := Portfolio{Schedulers: []Scheduler{bad, list}, Workers: 1}.ScheduleModel(ctx, m)
+			if err != nil {
+				t.Fatalf("fallback run failed outright: %v", err)
+			}
+			if res.Best != list.Name() || res.Makespan() != want.Makespan() {
+				t.Errorf("winner %s/%d, want the fallback %s/%d", res.Best, res.Makespan(), list.Name(), want.Makespan())
+			}
+			if err := res.Plan.Validate(); err != nil {
+				t.Errorf("fallback plan invalid: %v", err)
+			}
+			if res.BuildFailures != 1 {
+				t.Errorf("BuildFailures = %d, want 1", res.BuildFailures)
+			}
+			if r := res.Results[0]; r.Err == nil || r.Makespan != 0 {
+				t.Errorf("unbuildable member recorded makespan %d err %v, want 0 and an error", r.Makespan, r.Err)
+			}
+			if _, err := (Portfolio{Schedulers: []Scheduler{bad}}).ScheduleModel(ctx, m); err == nil {
+				t.Error("a portfolio whose only member does not build returned a plan")
+			}
+		})
+	}
+}
+
+// blockingScorer scores nothing until its context ends.
+type blockingScorer struct{}
+
+func (blockingScorer) Name() string { return "blocking" }
+
+func (b blockingScorer) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
+	return scheduleScored(ctx, m, b)
+}
+
+func (blockingScorer) Score(ctx context.Context, _ *Model, _ *Incumbent) (Scored, error) {
+	<-ctx.Done()
+	return Scored{}, ctx.Err()
+}
+
+// TestScheduleModelBuildsWinnerAfterDeadline pins the anytime contract
+// under score-first selection: the run's context ends after the list
+// rules have scored (the progress hook cancels it on their first
+// event), so the winner is built under an expired context — and the
+// run must still return that member's valid plan.
+func TestScheduleModelBuildsWinnerAfterDeadline(t *testing.T) {
+	sys := buildSystem(t, "d695", 6, soc.Leon())
+	m, err := Compile(sys, Options{PowerLimitFraction: 0.5, BISTPatternFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	list := ListScheduler{LookaheadFastestFinish, ProcessorsFirst}
+	pf := Portfolio{Schedulers: []Scheduler{list, blockingScorer{}}, Workers: 1}
+	pf.Progress = func(ProgressEvent) { cancel() }
+	res, err := pf.ScheduleModel(ctx, m)
+	if err != nil {
+		t.Fatalf("deadline after the list rules lost the anytime plan: %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the context never ended; the test did not exercise a late build")
+	}
+	if res.Best != list.Name() {
+		t.Errorf("winner %s, want the scored list rule", res.Best)
+	}
+	if err := res.Plan.Validate(); err != nil {
+		t.Errorf("plan built after the deadline is invalid: %v", err)
+	}
+	if res.Plan.Makespan() != res.Results[0].Makespan {
+		t.Errorf("plan makespan %d, scored %d", res.Plan.Makespan(), res.Results[0].Makespan)
+	}
+}

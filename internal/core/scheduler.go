@@ -87,17 +87,40 @@ func (inc *Incumbent) Tighten(ms int) bool {
 	}
 }
 
-// BoundedScheduler is a Scheduler that can additionally prune its
-// search with a shared incumbent bound. Portfolio runs prefer this
-// entry point; Schedule must behave exactly like ScheduleBounded with
-// an empty incumbent.
-type BoundedScheduler interface {
+// Scored is a search's outcome before any plan is built: the
+// interface-choice rule and core order the search settled on, that
+// order's makespan, and the algorithm record its plan carries.
+// Model.Plan of Order under Variant reproduces Makespan exactly, which
+// is how a portfolio builds its winner — and only its winner.
+type Scored struct {
+	Variant   Variant
+	Order     []int
+	Makespan  int
+	Algorithm string
+}
+
+// Scorer is a Scheduler whose search ends in a scored order rather than
+// a plan, and can additionally prune with a shared incumbent bound.
+// Portfolio runs prefer this entry point: they compare members by score
+// and build one plan instead of one per member. Schedule must equal
+// Score with a nil incumbent followed by Model.Plan of the scored order.
+type Scorer interface {
 	Scheduler
-	// ScheduleBounded searches m, aborting evaluations that the
-	// incumbent proves irrelevant. It must return the same plan for a
-	// fixed (model, seed, incumbent-at-entry) regardless of goroutine
-	// interleaving.
-	ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error)
+	// Score searches m, aborting evaluations that the incumbent proves
+	// irrelevant (a nil incumbent prunes nothing). It must return the
+	// same result for a fixed (model, seed, incumbent-at-entry)
+	// regardless of goroutine interleaving.
+	Score(ctx context.Context, m *Model, inc *Incumbent) (Scored, error)
+}
+
+// scheduleScored is Schedule for every Scorer: score without an
+// incumbent, then build and validate the scored order's plan.
+func scheduleScored(ctx context.Context, m *Model, s Scorer) (*plan.Plan, error) {
+	sc, err := s.Score(ctx, m, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.Plan(ctx, sc.Variant, sc.Order, sc.Algorithm)
 }
 
 // ListScheduler is the deterministic single-pass list scheduler the
@@ -114,10 +137,25 @@ func (l ListScheduler) Name() string {
 	return fmt.Sprintf("%s/%s", l.Variant, l.Priority)
 }
 
-// Schedule runs one list-scheduling pass.
+// Schedule runs one list-scheduling pass and builds its plan.
 func (l ListScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
-	algorithm := fmt.Sprintf("%s/%s/%s", l.Variant, l.Priority, m.Options().Application)
-	return m.Plan(ctx, l.Variant, m.Order(l.Priority), algorithm)
+	return scheduleScored(ctx, m, l)
+}
+
+// Score runs one makespan-only list-scheduling pass; a single pass has
+// nothing to prune, so the incumbent is unused.
+func (l ListScheduler) Score(ctx context.Context, m *Model, _ *Incumbent) (Scored, error) {
+	order := m.Order(l.Priority)
+	ms, err := m.Makespan(ctx, l.Variant, order)
+	if err != nil {
+		return Scored{}, err
+	}
+	return Scored{
+		Variant:   l.Variant,
+		Order:     append([]int(nil), order...), // m.Order is the model's shared copy
+		Makespan:  ms,
+		Algorithm: fmt.Sprintf("%s/%s/%s", l.Variant, l.Priority, m.Options().Application),
+	}, nil
 }
 
 // searchEval scores one order for a search chain: through the
@@ -142,8 +180,8 @@ func searchEval(ctx context.Context, m *Model, ev *Evaluator, fullReplay bool, v
 // perturbations of the default order — and keeps the best plan. The
 // search is deterministic for a fixed seed. Each restart is one replay
 // through the incremental kernel, pruned against the tighter of the
-// search's own best and the portfolio incumbent; only the winning order
-// is rebuilt into a full plan.
+// search's own best and the portfolio incumbent; the search reports its
+// best order, and only a winning order is ever built into a plan.
 type RandomRestartScheduler struct {
 	// Variant is the interface-choice rule applied to every restart.
 	Variant Variant
@@ -176,19 +214,19 @@ func (r RandomRestartScheduler) restarts() int {
 	return r.Restarts
 }
 
-// Schedule runs the multi-start search without an incumbent.
+// Schedule runs the multi-start search without an incumbent and builds
+// the best order's plan.
 func (r RandomRestartScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
-	return r.ScheduleBounded(ctx, m, nil)
+	return scheduleScored(ctx, m, r)
 }
 
-// ScheduleBounded runs the multi-start search. A restart is aborted as
+// Score runs the multi-start search. A restart is aborted as
 // soon as it provably cannot strictly improve on the search's own best
 // order, nor on the shared incumbent: a restart pruned at the incumbent
 // could at best tie a plan the portfolio already holds, and ties lose
 // to the earlier strategy anyway, so pruning never changes the
 // portfolio outcome.
-func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error) {
-	algorithm := r.Name()
+func (r RandomRestartScheduler) Score(ctx context.Context, m *Model, inc *Incumbent) (Scored, error) {
 	ev := m.NewEvaluator(r.Variant)
 	defer ev.Close()
 	ev.SetTrustedOrders(true) // orders are swaps/shuffles of a valid permutation
@@ -222,7 +260,7 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 
 	if ms, pruned, err := searchEval(ctx, m, ev, r.FullReplay, r.Variant, base, bound()); err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Scored{}, ctx.Err()
 		}
 		firstErr = err
 	} else {
@@ -241,7 +279,7 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 		ms, pruned, err := searchEval(ctx, m, ev, r.FullReplay, r.Variant, order, bound())
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return Scored{}, ctx.Err()
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -251,12 +289,12 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 		keep(order, ms, pruned)
 	}
 	if bestMs < 0 {
-		return nil, firstErr
+		return Scored{}, firstErr
 	}
 	// Deliberately no inc.Tighten here: the incumbent is sealed during
 	// the race (see Incumbent) — publishing a mid-race improvement would
 	// make sibling searches' pruning depend on finish order.
-	return m.Plan(ctx, r.Variant, bestOrder, algorithm)
+	return Scored{Variant: r.Variant, Order: bestOrder, Makespan: bestMs, Algorithm: r.Name()}, nil
 }
 
 // perturb applies n random pair swaps to order in place.
@@ -377,19 +415,19 @@ func acceptanceBound(curMs int, temp, u float64) int {
 	return curMs + d
 }
 
-// Schedule runs the annealing search without an incumbent.
+// Schedule runs the annealing search without an incumbent and builds
+// the best order's plan.
 func (a AnnealingScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
-	return a.ScheduleBounded(ctx, m, nil)
+	return scheduleScored(ctx, m, a)
 }
 
-// ScheduleBounded runs the annealing search. The shared incumbent caps
+// Score runs the annealing search. The shared incumbent caps
 // each step's acceptance bound (never below the current makespan, so
 // improving moves always evaluate): uphill wandering above the best
 // plan the portfolio already holds is cut off early, deterministically,
 // because the incumbent is sealed before the race starts.
-func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error) {
+func (a AnnealingScheduler) Score(ctx context.Context, m *Model, inc *Incumbent) (Scored, error) {
 	steps := a.steps()
-	algorithm := a.Name()
 	rng := rand.New(rand.NewSource(a.Seed))
 	ev := m.NewEvaluator(a.Variant)
 	defer ev.Close()
@@ -402,21 +440,24 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	curMs, _, err := searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, noBound)
 	for probe := 0; err != nil && probe < 8; probe++ {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Scored{}, ctx.Err()
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		curMs, _, err = searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, noBound)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Scored{}, ctx.Err()
 		}
-		return nil, err
+		return Scored{}, err
 	}
 	bestMs := curMs
 	bestOrder := append([]int(nil), order...)
+	best := func() Scored {
+		return Scored{Variant: a.Variant, Order: bestOrder, Makespan: bestMs, Algorithm: a.Name()}
+	}
 	if len(order) < 2 {
-		return m.Plan(ctx, a.Variant, bestOrder, algorithm)
+		return best(), nil
 	}
 	n := len(order)
 	window := annealTailWindow(n)
@@ -441,7 +482,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	t0 := 0.05 * float64(curMs)
 	for step := 0; step < steps; step++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return Scored{}, err
 		}
 		// Move kernel, tuned for the incremental kernel's cost model: a
 		// neighbour costs only the replay from its earlier swapped
@@ -476,7 +517,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 		candMs, pruned, err := searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, bound)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return Scored{}, ctx.Err()
 			}
 			order[i], order[j] = order[j], order[i] // infeasible move, undo
 		} else if pruned {
@@ -525,7 +566,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	}
 	// No inc.Tighten: the incumbent is sealed during the race (see
 	// Incumbent and the matching note in RandomRestartScheduler).
-	return m.Plan(ctx, a.Variant, bestOrder, algorithm)
+	return best(), nil
 }
 
 // DefaultPortfolio returns the standard scheduler set ScheduleBest

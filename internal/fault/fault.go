@@ -2,12 +2,12 @@
 // serving layer's robustness tests. An Injector owns a set of named
 // failure points — places in the server where production has seen (or
 // will see) things go wrong: a compile that errors, a compile that
-// stalls, a scheduler that panics, a result-store write that fails, a
-// journal record torn in half by a crash. Each point carries a firing
-// probability drawn from its own seeded stream, so the nth decision at
-// a point is a pure function of (seed, point, n) no matter how calls
-// to *other* points interleave — a chaos run is reproducible from its
-// seed alone.
+// stalls, a scheduler that panics, a scored order that does not build,
+// a result-store write that fails, a journal record torn in half by a
+// crash. Each point carries a firing probability drawn from its own
+// seeded stream, so the nth decision at a point is a pure function of
+// (seed, point, n) no matter how calls to *other* points interleave — a
+// chaos run is reproducible from its seed alone.
 //
 // Injection is off by default everywhere: a nil *Injector is valid,
 // answers "no" at every point for free, and is what production runs.
@@ -51,6 +51,10 @@ const (
 	// SchedPanic adds a panicking strategy to a request's portfolio
 	// race, exercising the engine's panic isolation.
 	SchedPanic Point = "sched.panic"
+	// SchedUnbuildable adds a strategy whose winning scored order does
+	// not build into a plan, exercising the portfolio's fallback to the
+	// next best member.
+	SchedUnbuildable Point = "sched.unbuildable"
 	// StoreWrite makes a result-store append fail cleanly: nothing is
 	// written, the store stays usable.
 	StoreWrite Point = "store.write"
@@ -61,7 +65,7 @@ const (
 )
 
 // Points lists every known failure point, in spec order.
-var Points = []Point{CompileErr, CompileSlow, SchedPanic, StoreWrite, StoreTorn}
+var Points = []Point{CompileErr, CompileSlow, SchedPanic, SchedUnbuildable, StoreWrite, StoreTorn}
 
 // ErrInjected marks an error as injected by a fault drill rather than
 // produced by real work. Handlers classify injected failures as

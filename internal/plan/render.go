@@ -141,7 +141,9 @@ type tile struct {
 	Y int `json:"y"`
 }
 
-// WriteJSON emits the plan as indented JSON with summary fields.
+// WriteJSON emits the plan as one line of compact JSON with summary
+// fields: the wire form a service sends and journals, about a third of
+// the indented size (pipe it through json.Indent to read it).
 // Preemptive plans record each segment's index and chain length;
 // single-segment entries keep the legacy record shape. ParseJSON reads
 // the format back.
@@ -181,9 +183,7 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 		}
 		out.Entries = append(out.Entries, je)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
 // ParseJSON reads a plan previously written by WriteJSON, including

@@ -12,6 +12,12 @@
 //     makespans, same early-abort decisions — on every compiled
 //     regime, so checkpoint restore and bound pruning are re-proven
 //     against the model every sweep.
+//   - member-plans: the portfolio compares its members by score and
+//     builds only the winner's plan, so this oracle builds every
+//     successful member's scored order with Model.Plan: each must
+//     validate at exactly its scored makespan, and the portfolio's
+//     winner must be the best built plan under the (makespan,
+//     portfolio order) rule — same name, makespan and entries.
 //   - validate: every produced plan passes plan.Validate.
 //   - lower-bound: every makespan is at or above the analytic floor
 //     (core.Model.LowerBound) — schedules are measured against what the
@@ -105,8 +111,8 @@ import (
 // package comment.
 var oracleNames = []string{
 	"build", "compile", "incremental-replay", "delta-replay", "schedule",
-	"validate", "lower-bound", "more-processors-help", "more-power-helps",
-	"preemption-dominance", "replay-window",
+	"member-plans", "validate", "lower-bound", "more-processors-help",
+	"more-power-helps", "preemption-dominance", "replay-window",
 	"mesh-torus-identity", "mesh-degraded-identity", "single-segment-identity",
 }
 
@@ -339,6 +345,13 @@ func (e Engine) check(ctx context.Context, sc socgen.Scenario, only string) (*Re
 			fail(reg.name, "schedule", err)
 			continue
 		}
+		rep.Checked["member-plans"]++
+		if err := memberPlansCheck(ctx, m, res); err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			fail(reg.name, "member-plans", err)
+		}
 		p := res.Plan
 		switch reg.name {
 		case "noreuse", "halfpower":
@@ -489,6 +502,55 @@ func (e Engine) check(ctx context.Context, sc socgen.Scenario, only string) (*Re
 		}
 	}
 	return rep, nil
+}
+
+// memberPlansCheck is the member-plans oracle. The portfolio builds
+// only its winner, so the per-member plan check lives here: every
+// successful member's scored order is built with Model.Plan and must
+// validate at exactly the scored makespan, and the portfolio's answer
+// must be the best built plan under the (makespan, portfolio order)
+// rule. A member that returned its own plan has no order to build and
+// was validated by the portfolio; when one succeeded the winner
+// comparison is skipped, since its plan is not in hand.
+func memberPlansCheck(ctx context.Context, m *core.Model, res *core.PortfolioResult) error {
+	var best *plan.Plan
+	bestName := ""
+	complete := true
+	for i, vr := range res.Results {
+		if vr.Scheduler == "" || vr.Err != nil {
+			continue
+		}
+		sc := res.Scored[i]
+		if sc.Order == nil {
+			complete = false
+			continue
+		}
+		p, err := m.Plan(ctx, sc.Variant, sc.Order, "")
+		if err != nil {
+			return fmt.Errorf("%s: scored order does not build: %w", vr.Scheduler, err)
+		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("%s: scored order builds an invalid plan: %w", vr.Scheduler, err)
+		}
+		if p.Makespan() != vr.Makespan {
+			return fmt.Errorf("%s: scored makespan %d, built plan %d", vr.Scheduler, vr.Makespan, p.Makespan())
+		}
+		if best == nil || p.Makespan() < best.Makespan() {
+			best, bestName = p, vr.Scheduler
+		}
+	}
+	switch {
+	case !complete:
+		return nil
+	case best == nil:
+		return fmt.Errorf("portfolio returned %s's plan, yet no member built one", res.Best)
+	case res.Best != bestName || res.Makespan() != best.Makespan():
+		return fmt.Errorf("portfolio answered %s at %d, the best built member is %s at %d",
+			res.Best, res.Makespan(), bestName, best.Makespan())
+	case !reflect.DeepEqual(res.Plan.Entries, best.Entries):
+		return fmt.Errorf("portfolio plan from %s differs entry-wise from the member's own build", res.Best)
+	}
+	return nil
 }
 
 // identityVariants are the (options, variant) cells every identity

@@ -343,3 +343,55 @@ func TestSweepPreemptionMatrix(t *testing.T) {
 		})
 	}
 }
+
+// misScored reports its list rule's order one cycle worse than it is.
+// It never wins the race, so the portfolio never builds its order; only
+// an oracle that builds every member's order can notice the lie.
+type misScored struct{ core.ListScheduler }
+
+func (misScored) Name() string { return "mis-scored" }
+
+func (s misScored) Score(ctx context.Context, m *core.Model, inc *core.Incumbent) (core.Scored, error) {
+	sc, err := s.ListScheduler.Score(ctx, m, inc)
+	sc.Makespan++
+	return sc, err
+}
+
+// TestMemberPlansOracleCatchesMisScoredMember proves the member-plans
+// oracle has teeth: a losing member whose score disagrees with its own
+// plan is flagged on every regime, while the same portfolio without it
+// passes.
+func TestMemberPlansOracleCatchesMisScoredMember(t *testing.T) {
+	ctx := context.Background()
+	rule := core.ListScheduler{Variant: core.LookaheadFastestFinish, Priority: core.ProcessorsFirst}
+	sc := socgen.NewScenario(11, socgen.ScenarioParams{MinCores: 6, MaxCores: 10})
+
+	healthy := Engine{Portfolio: func(int64) []core.Scheduler { return []core.Scheduler{rule} }}
+	rep, err := healthy.Check(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Checked["member-plans"] == 0 {
+		t.Fatal("member-plans oracle never ran")
+	}
+	for _, f := range rep.Failures {
+		if f.Oracle == "member-plans" {
+			t.Fatalf("member-plans violated on a healthy portfolio: %+v", f)
+		}
+	}
+
+	broken := Engine{Portfolio: func(int64) []core.Scheduler { return []core.Scheduler{rule, misScored{rule}} }}
+	rep, err = broken.Check(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caught := 0
+	for _, f := range rep.Failures {
+		if f.Oracle == "member-plans" && strings.Contains(f.Error, "mis-scored") {
+			caught++
+		}
+	}
+	if caught == 0 || caught != rep.Checked["member-plans"] {
+		t.Errorf("mis-scored member caught on %d of %d regimes, want every one: %+v", caught, rep.Checked["member-plans"], rep.Failures)
+	}
+}
